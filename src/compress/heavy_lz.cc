@@ -9,7 +9,6 @@
 #include "common/simd.h"
 #include "compress/lz_common.h"
 #include "compress/range_coder.h"
-#include "compress/suffix_match.h"
 
 namespace strato::compress {
 namespace {
@@ -158,30 +157,27 @@ class ChainFinder {
   const simd::Kernels& kernels_;
 };
 
-/// The HEAVY symbol loop, generic over match finding. `find(i)` returns
-/// the match to take at i (len < kMinMatch means literal); `advance(i,
-/// len, is_match)` lets stateful finders register consumed positions (the
-/// suffix-array finder has no such bookkeeping).
-template <typename FindFn, typename AdvanceFn>
+/// The HEAVY symbol loop: take the finder's match at i (len < kMinMatch
+/// means literal) and register every consumed position in the chains.
 void encode_symbols(common::ByteSpan src, RangeEncoder& enc, Models& models,
-                    FindFn&& find, AdvanceFn&& advance) {
+                    ChainFinder& finder) {
   std::size_t i = 0;
   std::uint32_t prev_byte = 0;
   std::uint32_t last_was_match = 0;
   while (i < src.size()) {
-    const Match m = find(i);
+    const Match m = finder.find(i);
     if (m.len >= kMinMatch) {
       enc.encode_bit(models.is_match[last_was_match], 1);
       models.length.encode(enc, static_cast<std::uint32_t>(m.len - kMinMatch));
       encode_distance(enc, models, static_cast<std::uint32_t>(m.dist));
-      advance(i, m.len, true);
+      finder.insert_range(i, i + m.len);
       i += m.len;
       prev_byte = src[i - 1];
       last_was_match = 1;
     } else {
       enc.encode_bit(models.is_match[last_was_match], 0);
       models.literal[prev_byte >> 5].encode(enc, src[i]);
-      advance(i, 1, false);
+      finder.insert(i);
       prev_byte = src[i];
       ++i;
       last_was_match = 0;
@@ -203,28 +199,8 @@ std::size_t HeavyLz::compress(common::ByteSpan src,
 
   RangeEncoder enc;
   auto models = std::make_unique<Models>();
-  if (finder_ == HeavyFinder::kSuffixArray) {
-    SuffixMatcher matcher;
-    matcher.build(src);
-    encode_symbols(
-        src, enc, *models,
-        [&](std::size_t i) {
-          const SuffixMatcher::Match m = matcher.find(i, kMaxLen, kMaxDist);
-          return Match{m.len, m.dist};
-        },
-        [](std::size_t, std::size_t, bool) {});
-  } else {
-    ChainFinder finder(src, detail::match_scratch(), simd::kernels());
-    encode_symbols(
-        src, enc, *models, [&](std::size_t i) { return finder.find(i); },
-        [&](std::size_t i, std::size_t len, bool is_match) {
-          if (is_match) {
-            finder.insert_range(i, i + len);
-          } else {
-            finder.insert(i);
-          }
-        });
-  }
+  ChainFinder finder(src, detail::match_scratch(), simd::kernels());
+  encode_symbols(src, enc, *models, finder);
   enc.finish();
 
   const common::Bytes& coded = enc.bytes();

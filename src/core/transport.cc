@@ -34,7 +34,8 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
     : loop_(loop),
       conn_(std::move(conn)),
       registry_(registry),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      chaos_(std::exchange(config_.chaos, {})) {
   if (config_.segment_bytes == 0) config_.segment_bytes = 64 * 1024;
   if (config_.low_watermark > config_.high_watermark) {
     config_.low_watermark = config_.high_watermark / 2;
@@ -129,61 +130,15 @@ void AsyncSender::enqueue_frame(common::ByteSpan frame, std::size_t raw_size,
       static_cast<std::size_t>(level) < m_level_blocks_.size()) {
     m_level_blocks_[static_cast<std::size_t>(level)]->add();
   }
-  if (config_.chaos.empty()) {
-    append_wire_bytes(frame);
-  } else {
-    // ThrottledPipe::write's exact walk: coordinates count bytes the
-    // writer *attempted* (pre-drop), so a schedule replays identically
-    // regardless of frame sizes. The one deliberate difference: kStall
-    // extends a flush deadline instead of sleeping, so a stalled
-    // connection never freezes its loop's siblings.
-    const auto& events = config_.chaos.events();
-    const std::uint64_t base = chaos_offset_;
-    std::size_t pos = 0;
-    while (pos < frame.size()) {
-      while (chaos_idx_ < events.size() &&
-             events[chaos_idx_].at < base + pos) {
-        ++chaos_idx_;
-      }
-      std::size_t next = frame.size();
-      if (chaos_idx_ < events.size() &&
-          events[chaos_idx_].at < base + frame.size()) {
-        next = static_cast<std::size_t>(events[chaos_idx_].at - base);
-      }
-      if (next > pos) {
-        append_wire_bytes(frame.subspan(pos, next - pos));
-        pos = next;
-        continue;
-      }
-      const common::ChaosEvent& ev = events[chaos_idx_++];
-      switch (ev.kind) {
-        case common::ChaosKind::kStall: {
-          const common::SimTime now = clock_.now();
-          const common::SimTime from = stall_until_ > now ? stall_until_ : now;
-          stall_until_ = from + common::SimTime::ns(static_cast<std::int64_t>(
-              std::max<std::uint64_t>(ev.stall_ns, 1)));
-          ++stalls_;
-          if (m_stalls_ != nullptr) m_stalls_->add();
-          break;
-        }
-        case common::ChaosKind::kDrop:
-          pos += static_cast<std::size_t>(std::min<std::uint64_t>(
-              std::max<std::uint64_t>(ev.span, 1), frame.size() - pos));
-          break;
-        case common::ChaosKind::kCorrupt: {
-          const std::uint8_t flipped =
-              frame[pos] ^
-              (ev.xor_mask == 0 ? std::uint8_t{0xFF} : ev.xor_mask);
-          append_wire_bytes(common::ByteSpan(&flipped, 1));
-          ++pos;
-          break;
-        }
-        case common::ChaosKind::kBlackout:
-          break;  // time-indexed; meaningless on a byte stream
-      }
-    }
-    chaos_offset_ = base + frame.size();
-  }
+  chaos_.walk(
+      frame, [this](common::ByteSpan bytes) { append_wire_bytes(bytes); },
+      [this](std::uint64_t ns) {
+        const common::SimTime now = clock_.now();
+        const common::SimTime from = stall_until_ > now ? stall_until_ : now;
+        stall_until_ = from + common::SimTime::ns(static_cast<std::int64_t>(ns));
+        ++stalls_;
+        if (m_stalls_ != nullptr) m_stalls_->add();
+      });
   // Opportunistic flush so small streams move without waiting for a poll.
   pump();
 }

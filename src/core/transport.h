@@ -22,8 +22,8 @@
 //     preserved: a damaged stream surfaces the same CodecError, after the
 //     same number of good blocks, as the serial FrameAssembler would.
 //   * Chaos: a common::ChaosSchedule threads through the sender's frame
-//     queue with ThrottledPipe's exact byte-offset semantics (coordinates
-//     count pre-drop attempted bytes), except that kStall is a
+//     queue on the common::ChaosCursor ThrottledPipe also uses
+//     (coordinates count pre-drop attempted bytes); here kStall is a
 //     non-blocking flush deadline instead of a thread sleep, so one
 //     stalled connection does not freeze its loop's siblings.
 //
@@ -142,6 +142,9 @@ class AsyncSender {
   TcpConnection conn_;
   const compress::CodecRegistry& registry_;
   Config config_;
+  /// Owns config_.chaos. A stall extends stall_until_ (a flush deadline)
+  /// instead of sleeping.
+  common::ChaosCursor chaos_;
   common::SteadyClock clock_;
 
   std::deque<SendSeg> queue_;
@@ -150,10 +153,6 @@ class AsyncSender {
   common::Bytes scratch_;  // inline-encode frame buffer (workers <= 1)
   std::optional<compress::ParallelBlockPipeline> pipeline_;
 
-  // Chaos cursor (ThrottledPipe semantics: offsets count attempted,
-  // pre-drop bytes).
-  std::size_t chaos_idx_ = 0;
-  std::uint64_t chaos_offset_ = 0;
   common::SimTime stall_until_{};
 
   bool want_write_armed_ = false;

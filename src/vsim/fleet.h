@@ -36,13 +36,11 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/sim_time.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "core/controller.h"
 #include "vsim/bgtraffic.h"
 #include "vsim/codec_model.h"
@@ -140,13 +138,6 @@ struct FleetConfig {
   double goodput_hist_max_mbit_s = 1000.0;
   std::size_t goodput_hist_buckets = 50;
   std::size_t expected_flows = 0;  ///< FlowTable reserve hint
-  /// Drain worker threads (1 = serial). Any count produces byte-identical
-  /// FleetMetrics: the parallel phase writes only per-flow columns, and
-  /// all cross-flow accumulation stays serial in admission order.
-  int drain_workers = 1;
-  /// Force the full-rebuild MaxMinAllocator path every epoch (reference
-  /// behaviour; also enabled by STRATO_FLEET_FULL_ALLOC=1 in env).
-  bool full_alloc = false;
 };
 
 /// Aggregates for one tenant.
@@ -216,15 +207,6 @@ class FleetEngine {
   void admit(common::SimTime now);
   void recompute_rates(common::SimTime now);
   void drain(common::SimTime from, common::SimTime dt);
-  /// Phase A of the drain: per-flow byte/CPU/controller math for
-  /// active_transfer_[lo, hi). Writes only per-flow columns and the
-  /// index-parallel d_* scratch — safe to run on concurrent shards.
-  void drain_shard(std::size_t lo, std::size_t hi, common::SimTime from,
-                   common::SimTime epoch_end, double dt_s);
-  /// Fused serial form of phase A + phase B (bitwise-equivalent; see
-  /// drain()) — the fast path when no pool is sharding the epoch.
-  void drain_serial(std::size_t lo, std::size_t hi, common::SimTime from,
-                    common::SimTime epoch_end, double dt_s);
   /// Re-derive the cached (wf, comp_speed, cpu_bound) triple for one
   /// flow from its current level — at spawn and on level switches only.
   void refresh_flow_kernel(std::uint32_t f);
@@ -238,10 +220,7 @@ class FleetEngine {
   MaxMinAllocator alloc_;
   EventQueue queue_;
   std::vector<TenantRun> runs_;
-  /// Active ids partitioned by kind (each in admission order); the
-  /// combined interleaved list survives only for the full-alloc path,
-  /// whose weight-sum fold order follows it.
-  std::vector<std::uint32_t> active_;           ///< full-alloc mode only
+  /// Active ids partitioned by kind, each in admission order.
   std::vector<std::uint32_t> active_transfer_;
   std::vector<std::uint32_t> active_dwell_;
   std::vector<double> link_cap_;
@@ -253,20 +232,10 @@ class FleetEngine {
   /// Flat per-(level, class) behaviour copies (CodecModel::get without
   /// the bounds-checked map walk) feeding refresh_flow_kernel.
   std::vector<LevelBehaviour> behaviour_;
-  // Drain scratch, index-parallel with active_transfer_ (phase A writes,
-  // phase B folds serially in admission order).
-  std::vector<double> d_raw_;
-  std::vector<double> d_wire_;
-  std::vector<double> d_cpu_;
-  std::vector<std::int8_t> d_level_;
-  std::vector<common::SimTime> d_fin_;  ///< SimTime::max() = not finished
-  std::optional<common::ThreadPool> pool_;
-  std::vector<std::future<void>> shard_futs_;
   EventQueue::RecurringId epoch_ev_ = EventQueue::kNoRecurring;
   FleetMetrics metrics_;
   double io_cpu_s_per_byte_ = 0.0;
   common::SimTime hard_stop_;
-  bool full_alloc_ = false;
 };
 
 }  // namespace strato::vsim

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "compress/registry.h"
 #include "core/epoll_loop.h"
 #include "core/tcp.h"
+#include "core/throttled_pipe.h"
 #include "core/transport.h"
 #include "corpus/generator.h"
 #include "metrics/registry.h"
@@ -385,6 +387,66 @@ TEST(AsyncTransport, DropChaosNeverPassesForCleanEof) {
   // A 13-byte hole must be detected: either a CodecError once the
   // stream desynchronizes, or a partial frame pending at EOF.
   EXPECT_FALSE(rx.clean_eof());
+}
+
+TEST(AsyncTransport, ChaosWalkMatchesThrottledPipe) {
+  // Both byte-stream consumers of a ChaosSchedule must apply it to the
+  // same bytes: one seeded schedule of stalls, drops and corruptions,
+  // once through a ThrottledPipe and once through an AsyncSender, must
+  // leave identical post-chaos streams. The socket side is read raw to
+  // EOF: the damaged stream fails decoding, after which AsyncReceiver's
+  // wire_tap sees nothing, so it would capture only a timing-dependent
+  // prefix.
+  const auto& registry = compress::CodecRegistry::standard();
+  const auto payloads = make_payloads(10, 16000, 707);
+  std::vector<int> levels;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    levels.push_back(static_cast<int>(i % registry.level_count()));
+  }
+  const verify::Oracle oracle(registry);
+  const common::Bytes reference = oracle.serial_wire(payloads, levels);
+
+  common::ChaosSchedule::RandomSpec spec;
+  spec.range = reference.size();
+  spec.stalls = 3;
+  spec.drops = 4;
+  spec.corruptions = 6;
+  spec.mean_stall_ns = 200'000;
+  const auto schedule = common::ChaosSchedule::random(spec, 0x5EED0707);
+
+  ThrottledPipe pipe(nullptr, reference.size() + 1);
+  pipe.set_chaos(schedule);
+  pipe.write(reference);
+  pipe.close();
+  common::Bytes piped;
+  for (common::Bytes chunk = pipe.read(1 << 16); !chunk.empty();
+       chunk = pipe.read(1 << 16)) {
+    piped.insert(piped.end(), chunk.begin(), chunk.end());
+  }
+
+  LoopbackPair pair;
+  common::Bytes wire;
+  std::thread reader([&wire, server = std::move(pair.server)]() mutable {
+    for (common::Bytes chunk = server.read(1 << 16); !chunk.empty();
+         chunk = server.read(1 << 16)) {
+      wire.insert(wire.end(), chunk.begin(), chunk.end());
+    }
+  });
+  {
+    EpollLoop loop;
+    AsyncSender::Config tx_cfg;
+    tx_cfg.chaos = schedule;
+    AsyncSender tx(loop, std::move(pair.client), registry, tx_cfg);
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      tx.send(levels[i], payloads[i]);
+    }
+    tx.finish();
+    EXPECT_EQ(tx.stalls(), 3u);
+  }
+  reader.join();
+
+  EXPECT_NE(piped, reference);  // the schedule did damage the stream
+  EXPECT_EQ(wire, piped);
 }
 
 // ---------------------------------------------------------------------------

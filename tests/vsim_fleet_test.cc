@@ -339,33 +339,5 @@ TEST(FleetGolden, PreOptimizationDigestsReproduce) {
             0xa641e245520e92fbULL);
 }
 
-// The config-flag route to the reference allocator (the env var
-// STRATO_FLEET_FULL_ALLOC=1 sets the same flag) agrees with the
-// incremental default.
-TEST(FleetGolden, FullAllocFlagIsBitIdentical) {
-  FleetConfig cfg = medium_fleet(5);
-  cfg.full_alloc = true;
-  EXPECT_EQ(fnv1a(FleetEngine(cfg).run().to_json()),
-            0xa641e245520e92fbULL);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded drain: any worker count must be byte-identical to serial —
-// the parallel phase writes only per-flow state, and all cross-flow
-// accumulation happens serially in admission order.
-// ---------------------------------------------------------------------------
-
-TEST(FleetShardedDrain, DigestInvariantAcrossWorkerCounts) {
-  FleetConfig base = medium_fleet(5);
-  const std::string serial = FleetEngine(base).run().to_json();
-  EXPECT_EQ(fnv1a(serial), 0xa641e245520e92fbULL);
-  for (const int workers : {2, 4, 8}) {
-    FleetConfig cfg = medium_fleet(5);
-    cfg.drain_workers = workers;
-    EXPECT_EQ(FleetEngine(cfg).run().to_json(), serial)
-        << "drain_workers=" << workers;
-  }
-}
-
 }  // namespace
 }  // namespace strato::vsim
