@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Static gate: strato-lint (project rules, including the `lifetime`
-# borrow-flow pass) + lint selftest, then — when a clang++ is on PATH — a
+# borrow-flow pass) + lint selftest, a GCC build of the whole tree with
+# -Werror (build-werror/), then — when a clang++ is on PATH — a
 # full configure/build with -Wthread-safety promoted to an error AND the
 # STRATO_LIFETIME_SAFETY dangling-borrow diagnostics promoted to errors,
 # so every STRATO_GUARDED_BY / STRATO_REQUIRES / STRATO_LIFETIME_BOUND
@@ -10,7 +11,7 @@
 # the Clang legs are skipped with a note; the lint gate always runs.
 #
 # Usage: scripts/check_static.sh [--lint-only] [build-dir]
-#   --lint-only   skip the Clang builds (fast presubmit gate)
+#   --lint-only   skip the GCC and Clang builds (fast presubmit gate)
 #   build-dir     Clang build tree (default: build-threadsafety)
 set -euo pipefail
 
@@ -36,8 +37,22 @@ echo "== strato-lint: src/ =="
 "$PYTHON" scripts/strato_lint.py
 
 if [ "$LINT_ONLY" -eq 1 ]; then
-  echo "check_static: lint gate clean (--lint-only, Clang builds skipped)."
+  echo "check_static: lint gate clean (--lint-only, GCC and Clang builds skipped)."
   exit 0
+fi
+
+# GCC leg: the whole tree (src, tests, bench, examples) must build
+# warning-free under the project's -Wall -Wextra -Wpedantic.
+GXX="${GXX:-g++}"
+if command -v "$GXX" >/dev/null 2>&1; then
+  echo "== GCC -Werror build =="
+  cmake -B build-werror -S . \
+    -DCMAKE_CXX_COMPILER="$GXX" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror
+  cmake --build build-werror -j "$(nproc)"
+else
+  echo "check_static: $GXX not found — skipping the GCC -Werror build."
 fi
 
 CLANGXX="${CLANGXX:-clang++}"
@@ -63,4 +78,4 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # note when clang-tidy is not installed).
 scripts/check_tidy.sh "$BUILD_DIR"
 
-echo "check_static: clean (lint + thread-safety + lifetime)."
+echo "check_static: clean (lint + GCC -Werror + thread-safety + lifetime)."

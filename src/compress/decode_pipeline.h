@@ -57,7 +57,8 @@
 
 namespace strato::compress {
 
-/// Sizing knobs (surfaced as DecompressionSpec::worker_count on streams).
+/// Sizing knobs (worker_count is surfaced as DecompressingReader's
+/// worker_count on streams).
 struct DecodePipelineConfig {
   /// Decode worker threads. <= 1 decodes inline on the feeding thread
   /// (no threads are created) — the serial baseline.

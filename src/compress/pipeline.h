@@ -1,4 +1,5 @@
-// Parallel block-compression pipeline.
+// Block-compression pipeline: the one block encoder behind every send path
+// (core::CompressingWriter and core::AsyncSender are adapters over it).
 //
 // The paper's key integration decision (Section III-B) is that every
 // channel block is *self-contained* — it carries its own codec id and
@@ -17,7 +18,10 @@
 //     submitting thread, in submission order — so the adaptive rate meter
 //     observes the AGGREGATE accepted byte rate across all workers while
 //     the decision model stays app-data-rate-only, per the paper;
-//   * workers only compress; they never touch the sink.
+//   * workers only compress; they never touch the sink;
+//   * worker_count <= 1 runs no threads at all — submit() encodes inline
+//     from the caller's span into one reused frame buffer and calls the
+//     sink before it returns (the mirror of ParallelBlockDecodePipeline).
 //
 // Memory is bounded by the reorder window: at most `depth` blocks are
 // in flight (raw copy + frame each), all recycled through a BufferPool.
@@ -28,6 +32,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -39,11 +44,11 @@
 
 namespace strato::compress {
 
-/// Pipeline sizing knobs (surfaced as CompressionSpec::worker_count /
-/// pipeline_depth on channels).
+/// Pipeline sizing knobs (worker_count is surfaced as
+/// CompressionSpec::worker_count on channels).
 struct PipelineConfig {
-  /// Compression worker threads. 1 still runs a (single) worker thread;
-  /// use the serial CompressingWriter path to avoid threads entirely.
+  /// Compression worker threads. <= 1 encodes inline on the submitting
+  /// thread (no threads are created).
   std::size_t worker_count = 1;
   /// Reorder-window depth = max blocks in flight; 0 = 2 * worker_count.
   std::size_t depth = 0;
@@ -63,17 +68,19 @@ class ParallelBlockPipeline {
   ParallelBlockPipeline(const ParallelBlockPipeline&) = delete;
   ParallelBlockPipeline& operator=(const ParallelBlockPipeline&) = delete;
 
-  /// Enqueue one block at `level` (clamped to the registry ladder). Copies
-  /// the payload into a pooled buffer, so the caller may reuse its block
-  /// buffer immediately. Blocks while the reorder window is full,
-  /// delivering completed frames while it waits. Rethrows worker errors.
+  /// Encode one block at `level` (clamped to the registry ladder). Inline,
+  /// the frame reaches the sink before this returns. With workers, the
+  /// payload is copied into a pooled buffer, so the caller may reuse its
+  /// block buffer immediately; blocks while the reorder window is full,
+  /// delivering completed frames while it waits. Rethrows encode errors.
   void submit(int level, common::ByteSpan payload);
 
   /// Deliver every outstanding frame (blocking), in submission order.
   void flush();
 
+  /// Encode workers actually running (0 = inline).
   [[nodiscard]] std::size_t worker_count() const {
-    return workers_.size();
+    return workers_ == nullptr ? 0 : workers_->size();
   }
   [[nodiscard]] std::size_t depth() const { return depth_; }
   [[nodiscard]] std::uint64_t blocks_submitted() const { return next_seq_; }
@@ -114,8 +121,10 @@ class ParallelBlockPipeline {
   std::uint64_t next_seq_ = 0;     // next sequence number to submit
   std::uint64_t deliver_seq_ = 0;  // next sequence number to deliver
 
+  common::Bytes inline_frame_;  // frame buffer of the inline mode
+
   common::BufferPool pool_;
-  common::ThreadPool workers_;  // declared last: joins before state dies
+  std::unique_ptr<common::ThreadPool> workers_;  // last: joins before state
 };
 
 }  // namespace strato::compress

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/bytes.h"
 #include "common/mutex.h"
@@ -36,12 +35,14 @@ class ByteSink {
   virtual void flush() {}
 };
 
-/// Application-facing compressing writer.
+/// Application-facing compressing writer: a synchronous adapter over
+/// compress::ParallelBlockPipeline that buffers blocks, asks the policy
+/// for each block's level, and accounts every frame it writes to the sink.
 ///
-/// With worker_count > 1 blocks are compressed concurrently on a
-/// ParallelBlockPipeline and re-sequenced before the sink; the wire bytes
-/// are identical to the serial path and the policy still observes the
-/// aggregate application data rate on the writing thread.
+/// With worker_count > 1 blocks are compressed concurrently and
+/// re-sequenced before the sink; the wire bytes are identical to the
+/// inline path and the policy still observes the aggregate application
+/// data rate on the writing thread.
 class CompressingWriter {
  public:
   /// @param sink           downstream I/O layer
@@ -49,13 +50,11 @@ class CompressingWriter {
   /// @param policy         level selection strategy (static / adaptive / ...)
   /// @param clock          time source for the policy (wall or simulated)
   /// @param block_size     channel block size (paper: 128 KB)
-  /// @param worker_count   compression threads; 1 = serial on the caller
-  /// @param pipeline_depth reorder-window depth; 0 = 2 * worker_count
+  /// @param worker_count   compression threads; <= 1 = inline on the caller
   CompressingWriter(ByteSink& sink, const compress::CodecRegistry& registry,
                     CompressionPolicy& policy, const common::Clock& clock,
                     std::size_t block_size = compress::kDefaultBlockSize,
-                    std::size_t worker_count = 1,
-                    std::size_t pipeline_depth = 0);
+                    std::size_t worker_count = 1);
 
   /// Accept application data; emits framed blocks as they fill.
   void write(common::ByteSpan data);
@@ -91,7 +90,6 @@ class CompressingWriter {
   void account_frame(common::ByteSpan frame, std::size_t raw_size, int level);
 
   ByteSink& sink_;
-  const compress::CodecRegistry& registry_;
   CompressionPolicy& policy_;
   const common::Clock& clock_;
   std::size_t block_size_;
@@ -101,17 +99,7 @@ class CompressingWriter {
   std::uint64_t raw_bytes_ STRATO_GUARDED_BY(stats_mu_) = 0;
   std::uint64_t framed_bytes_ STRATO_GUARDED_BY(stats_mu_) = 0;
   std::vector<std::uint64_t> blocks_per_level_ STRATO_GUARDED_BY(stats_mu_);
-  std::unique_ptr<compress::ParallelBlockPipeline> pipeline_;
-};
-
-/// Receive-side parallelism knobs (the decode mirror of worker_count /
-/// pipeline_depth on the compressing side).
-struct DecompressionSpec {
-  /// Decode worker threads; <= 1 decodes inline on the reading thread
-  /// (no threads are created).
-  std::size_t worker_count = 1;
-  /// Reorder-window depth (max blocks decoding at once); 0 = 2 * workers.
-  std::size_t pipeline_depth = 0;
+  compress::ParallelBlockPipeline pipeline_;  // last: its sink uses the above
 };
 
 /// Receiving side: feed framed bytes, pop decompressed blocks.
@@ -124,9 +112,12 @@ struct DecompressionSpec {
 /// identical to the serial path.
 class DecompressingReader {
  public:
+  /// @param worker_count decode threads; <= 1 decodes inline on the
+  ///                     reading thread (no threads are created)
   explicit DecompressingReader(const compress::CodecRegistry& registry,
-                               DecompressionSpec spec = {})
-      : pipeline_(registry, make_config(spec)) {}
+                               std::size_t worker_count = 1)
+      : pipeline_(registry,
+                  compress::DecodePipelineConfig{worker_count, 0, 0}) {}
 
   /// Append bytes received from the I/O layer. Never blocks on workers.
   void feed(common::ByteSpan data) { pipeline_.feed(data); }
@@ -171,13 +162,6 @@ class DecompressingReader {
   }
 
  private:
-  static compress::DecodePipelineConfig make_config(DecompressionSpec spec) {
-    compress::DecodePipelineConfig cfg;
-    cfg.worker_count = spec.worker_count;
-    cfg.depth = spec.pipeline_depth;
-    return cfg;
-  }
-
   compress::ParallelBlockDecodePipeline pipeline_;
   std::uint64_t raw_bytes_ = 0;
   std::vector<std::uint64_t> blocks_per_level_;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,9 +15,25 @@ namespace strato::core {
 
 namespace {
 
-/// iovec batch per sendmsg call. 64 segments x 256 KB default segments is
-/// far past any kernel buffer; one call always empties or fills.
+/// Pooled send-segment size; frames are batched into segments so one
+/// sendmsg covers many frames.
+constexpr std::size_t kSendSegmentBytes = 256 * 1024;
+
+/// iovec batch per sendmsg call. 64 segments x 256 KB is far past any
+/// kernel buffer; one call always empties or fills.
 constexpr std::size_t kMaxIov = 64;
+
+/// Minimum contiguous recv_span requested per read.
+constexpr std::size_t kReadChunk = 128 * 1024;
+
+/// Reads per readiness callback before yielding to siblings.
+constexpr std::size_t kMaxReadsPerEvent = 4;
+
+/// Stop reading for the rest of the readiness callback once this many wire
+/// bytes sit buffered but undelivered — yields the loop to sibling
+/// connections; a sustained overrun fills the kernel buffer and
+/// backpressures the sender.
+constexpr std::size_t kMaxPendingWire = 16 * 1024 * 1024;
 
 std::exception_ptr errno_error(const char* what, int err) {
   return std::make_exception_ptr(std::runtime_error(
@@ -33,10 +50,11 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
                          Config config, metrics::MetricRegistry* metrics)
     : loop_(loop),
       conn_(std::move(conn)),
-      registry_(registry),
       config_(std::move(config)),
-      chaos_(std::exchange(config_.chaos, {})) {
-  if (config_.segment_bytes == 0) config_.segment_bytes = 64 * 1024;
+      chaos_(std::exchange(config_.chaos, {})),
+      pipeline_(registry, compress::PipelineConfig{config_.workers, 0},
+                [this](common::ByteSpan frame, std::size_t raw_size,
+                       int level) { enqueue_frame(frame, raw_size, level); }) {
   if (config_.low_watermark > config_.high_watermark) {
     config_.low_watermark = config_.high_watermark / 2;
   }
@@ -47,19 +65,11 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
     m_backpressure_ = &metrics->counter("tx.backpressure");
     m_writev_ = &metrics->counter("tx.sendmsg_calls");
     m_queued_ = &metrics->gauge("tx.queued_bytes");
-    m_level_blocks_.reserve(registry_.level_count());
-    for (std::size_t l = 0; l < registry_.level_count(); ++l) {
+    m_level_blocks_.reserve(registry.level_count());
+    for (std::size_t l = 0; l < registry.level_count(); ++l) {
       m_level_blocks_.push_back(
           &metrics->counter("tx.blocks.level" + std::to_string(l)));
     }
-  }
-  if (config_.workers > 1) {
-    pipeline_.emplace(
-        registry_,
-        compress::PipelineConfig{config_.workers, config_.depth},
-        [this](common::ByteSpan frame, std::size_t raw_size, int level) {
-          enqueue_frame(frame, raw_size, level);
-        });
   }
   conn_.set_nonblocking(true);
   loop_.add(conn_.fd(), 0, [this](std::uint32_t ev) { on_event(ev); });
@@ -72,18 +82,8 @@ AsyncSender::~AsyncSender() {
 
 void AsyncSender::send(int level, common::ByteSpan payload) {
   throw_if_broken();
-  if (pipeline_.has_value()) {
-    // Frames arrive (in submission order) through enqueue_frame.
-    pipeline_->submit(level, payload);
-  } else {
-    const std::size_t last = registry_.level_count() - 1;
-    const std::size_t idx =
-        level < 0 ? 0 : std::min(static_cast<std::size_t>(level), last);
-    encode_block_into(*registry_.level(idx).codec,
-                      static_cast<std::uint8_t>(idx), payload, scratch_);
-    enqueue_frame(common::ByteSpan(scratch_), payload.size(),
-                  static_cast<int>(idx));
-  }
+  // Frames arrive (in submission order) through enqueue_frame.
+  pipeline_.submit(level, payload);
   if (queued_bytes_ > config_.high_watermark) {
     // The kernel buffer is full and frames keep landing: stall the
     // application (exactly what a blocking socket would do) until the
@@ -97,7 +97,7 @@ void AsyncSender::send(int level, common::ByteSpan payload) {
 
 void AsyncSender::finish() {
   throw_if_broken();
-  if (pipeline_.has_value()) pipeline_->flush();
+  pipeline_.flush();
   finishing_ = true;
   pump();
   while (broken_ == nullptr && !(drained() && shut_)) {
@@ -150,7 +150,7 @@ void AsyncSender::append_wire_bytes(common::ByteSpan bytes) {
     if (queue_.empty() ||
         queue_.back().data.size() == queue_.back().data.capacity()) {
       SendSeg seg;
-      seg.data = pool_.acquire(config_.segment_bytes);
+      seg.data = pool_.acquire(kSendSegmentBytes);
       queue_.push_back(std::move(seg));
     }
     common::Bytes& tail = queue_.back().data;
@@ -278,12 +278,8 @@ AsyncReceiver::AsyncReceiver(EpollLoop& loop, TcpConnection conn,
       conn_(std::move(conn)),
       config_(std::move(config)),
       pipeline_(registry,
-                compress::DecodePipelineConfig{config_.decode_workers,
-                                               config_.depth,
-                                               config_.segment_size}),
+                compress::DecodePipelineConfig{config_.decode_workers, 0, 0}),
       sink_(std::move(sink)) {
-  if (config_.read_chunk == 0) config_.read_chunk = 64 * 1024;
-  if (config_.max_reads_per_event == 0) config_.max_reads_per_event = 1;
   if (metrics != nullptr) {
     m_bytes_ = &metrics->counter("rx.wire_bytes");
     m_frames_ = &metrics->counter("rx.blocks");
@@ -322,19 +318,16 @@ void AsyncReceiver::on_event(std::uint32_t) {
   // EPOLLERR/EPOLLHUP fall through to recv(), which reports the precise
   // condition (0 = orderly EOF, ECONNRESET = abort) — no separate path.
   if (done_ || paused_) return;
-  for (std::size_t i = 0; i < config_.max_reads_per_event; ++i) {
+  for (std::size_t i = 0; i < kMaxReadsPerEvent; ++i) {
     common::MutableByteSpan span;
     if (error_ == nullptr) {
-      span = pipeline_.recv_span(config_.read_chunk);
+      span = pipeline_.recv_span(kReadChunk);
     } else {
       // The stream already failed (sticky), but the peer must not wedge
       // behind a full kernel buffer: keep reading into private scratch
       // until EOF, bypassing the pipeline entirely.
-      if (discard_scratch_.size() < config_.read_chunk) {
-        discard_scratch_.resize(config_.read_chunk);
-      }
-      span = common::MutableByteSpan(discard_scratch_.data(),
-                                     config_.read_chunk);
+      discard_scratch_.resize(kReadChunk);
+      span = common::MutableByteSpan(discard_scratch_);
     }
     const ssize_t n = ::recv(conn_.fd(), span.data(), span.size(), 0);
     if (n < 0) {
@@ -349,17 +342,16 @@ void AsyncReceiver::on_event(std::uint32_t) {
     }
     wire_bytes_ += static_cast<std::uint64_t>(n);
     if (m_bytes_ != nullptr) m_bytes_->add(static_cast<std::uint64_t>(n));
-    if (error_ != nullptr) continue;  // discard mode: just keep the fd moving
     if (config_.wire_tap) {
       config_.wire_tap(
           common::ByteSpan(span.data(), static_cast<std::size_t>(n)));
     }
+    if (error_ != nullptr) continue;  // discard mode: just keep the fd moving
     pipeline_.commit(static_cast<std::size_t>(n));
     drain();
     if (done_ || paused_ || error_ != nullptr) return;
-    if (config_.max_pending_wire != 0 &&
-        pipeline_.pending() > config_.max_pending_wire) {
-      // Undelivered wire outran the configured bound: yield this callback
+    if (pipeline_.pending() > kMaxPendingWire) {
+      // Undelivered wire outran the bound: yield this callback
       // (level-triggered readiness re-fires next poll). Sustained overrun
       // fills the kernel buffer and the sender sees EAGAIN backpressure.
       ++backpressure_events_;

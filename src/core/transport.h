@@ -5,7 +5,7 @@
 // doing the codec work on either end.
 //
 //   * Send side (AsyncSender): blocks are encoded by a
-//     compress::ParallelBlockPipeline (or inline when workers <= 1); the
+//     compress::ParallelBlockPipeline (inline when workers <= 1); the
 //     frame sink appends completed frames into pooled send segments and
 //     the event loop flushes them with vectored writes (sendmsg(2) with
 //     an iovec batch + MSG_NOSIGNAL — writev semantics, SIGPIPE-safe).
@@ -40,7 +40,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -65,11 +64,6 @@ class AsyncSender {
   struct Config {
     /// Compression workers; <= 1 encodes inline on the sending thread.
     std::size_t workers = 1;
-    /// Pipeline reorder-window depth; 0 = 2 * workers.
-    std::size_t depth = 0;
-    /// Pooled send-segment size; frames are batched into segments so one
-    /// writev covers many frames.
-    std::size_t segment_bytes = 256 * 1024;
     /// send() drives the loop once more than this many wire bytes queue.
     std::size_t high_watermark = 4 * 1024 * 1024;
     /// ... until the queue drains below this.
@@ -140,7 +134,6 @@ class AsyncSender {
 
   EpollLoop& loop_;
   TcpConnection conn_;
-  const compress::CodecRegistry& registry_;
   Config config_;
   /// Owns config_.chaos. A stall extends stall_until_ (a flush deadline)
   /// instead of sleeping.
@@ -150,8 +143,7 @@ class AsyncSender {
   std::deque<SendSeg> queue_;
   std::size_t queued_bytes_ = 0;
   common::BufferPool pool_;
-  common::Bytes scratch_;  // inline-encode frame buffer (workers <= 1)
-  std::optional<compress::ParallelBlockPipeline> pipeline_;
+  compress::ParallelBlockPipeline pipeline_;
 
   common::SimTime stall_until_{};
 
@@ -183,22 +175,10 @@ class AsyncReceiver {
   struct Config {
     /// Decode workers; <= 1 decodes inline on the loop thread.
     std::size_t decode_workers = 1;
-    /// Decode reorder-window depth; 0 = 2 * workers.
-    std::size_t depth = 0;
-    /// Receive-segment size; 0 = compress::kDefaultDecodeSegmentSize.
-    std::size_t segment_size = 0;
-    /// Minimum contiguous recv_span requested per read.
-    std::size_t read_chunk = 128 * 1024;
-    /// Reads per readiness callback before yielding to siblings.
-    std::size_t max_reads_per_event = 4;
-    /// Stop reading for the rest of the readiness callback once this many
-    /// wire bytes sit buffered but undelivered — yields the loop to
-    /// sibling connections; a sustained overrun fills the kernel buffer
-    /// and backpressures the sender. 0 disables the backstop.
-    std::size_t max_pending_wire = 16 * 1024 * 1024;
-    /// Test hook: observes every committed wire chunk in arrival order
-    /// (chaos soaks fingerprint the wire with it). Reads in place — the
-    /// zero-copy path is unaffected.
+    /// Test hook: observes every received wire chunk in arrival order,
+    /// including the chunks discarded after a decode or sink error, so
+    /// chaos soaks fingerprint the whole wire with it. Reads in place —
+    /// the zero-copy path is unaffected.
     std::function<void(common::ByteSpan)> wire_tap;
   };
 

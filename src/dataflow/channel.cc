@@ -95,9 +95,8 @@ class CompressedChannelBase : public Channel {
       : registry_(registry),
         policy_(make_policy(spec, registry)),
         compressing_writer_(sink, registry, *policy_, clock_, block_size,
-                            spec.worker_count, spec.pipeline_depth),
-        decompressing_reader_(
-            registry, {spec.decode_worker_count, spec.decode_depth}) {}
+                            spec.worker_count),
+        decompressing_reader_(registry, spec.decode_worker_count) {}
 
   ChannelStats stats() const override {
     ChannelStats s;

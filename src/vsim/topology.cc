@@ -204,9 +204,8 @@ void MaxMinAllocator::remove_flow(std::uint32_t f, Topology::PathId path) {
 
 void MaxMinAllocator::invalidate_weights() { weights_dirty_ = true; }
 
-void MaxMinAllocator::refold_dirty(
-    const std::vector<std::uint32_t>& flow_path,
-    const std::vector<double>& flow_weight, bool fold_all) {
+void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
+                                   bool fold_all) {
   // Recompute cached per-link weight sums as a left fold over live
   // members in admission order — the exact association the full rebuild
   // uses — compacting tombstones in place as we go.
@@ -284,7 +283,7 @@ bool MaxMinAllocator::allocate_incremental(
   if (weights_dirty_ || any_dirty) {
     // A weight invalidation refolds every link (any member's weight may
     // have changed); membership churn refolds only the dirty ones.
-    refold_dirty(flow_path, flow_weight, weights_dirty_);
+    refold_dirty(flow_weight, weights_dirty_);
   }
   const bool must_fill =
       weights_dirty_ || any_dirty || capacity_changed || !rates_valid_;

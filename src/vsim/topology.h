@@ -196,8 +196,7 @@ class MaxMinAllocator {
                             std::vector<double>& rate_out);
 
  private:
-  void refold_dirty(const std::vector<std::uint32_t>& flow_path,
-                    const std::vector<double>& flow_weight, bool fold_all);
+  void refold_dirty(const std::vector<double>& flow_weight, bool fold_all);
   void fill_incremental(const std::vector<double>& link_capacity,
                         const std::vector<std::uint32_t>& flow_path,
                         const std::vector<double>& flow_weight,

@@ -351,7 +351,7 @@ TEST(DecompressingReaderParallel, StatsMatchSerialReader) {
     serial_out.insert(serial_out.end(), b->begin(), b->end());
   }
 
-  core::DecompressingReader parallel(registry, {4, 0});
+  core::DecompressingReader parallel(registry, 4);
   EXPECT_EQ(parallel.worker_count(), 4u);
   parallel.feed(wire);
   common::Bytes parallel_out;

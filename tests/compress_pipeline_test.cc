@@ -245,13 +245,18 @@ TEST(ParallelBlockPipeline, DepthOneSerializesButStaysCorrect) {
 }
 
 TEST(ParallelBlockPipeline, SingleWorkerPreservesOrder) {
+  // One worker encodes inline: no thread runs, and each frame reaches the
+  // sink before submit() returns.
   const CodecRegistry& registry = CodecRegistry::standard();
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 5, 8192);
   CollectingSink sink;
   ParallelBlockPipeline pipeline(registry, PipelineConfig{1, 0}, sink.fn());
-  EXPECT_EQ(pipeline.worker_count(), 1u);
+  EXPECT_EQ(pipeline.worker_count(), 0u);
   EXPECT_EQ(pipeline.depth(), 2u);  // default 2 * workers
-  for (const auto& b : blocks) pipeline.submit(1, b);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    pipeline.submit(1, blocks[i]);
+    EXPECT_EQ(sink.frames.size(), i + 1) << "block " << i;
+  }
   pipeline.flush();
   ASSERT_EQ(sink.frames.size(), blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -279,15 +284,19 @@ TEST(ParallelBlockPipeline, MixedLevelsDeliverInSubmissionOrder) {
 
 TEST(ParallelBlockPipeline, LevelOutOfRangeIsClamped) {
   const CodecRegistry& registry = CodecRegistry::standard();
-  CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 0}, sink.fn());
-  const common::Bytes block(1024, 0x5A);
-  pipeline.submit(-3, block);
-  pipeline.submit(99, block);
-  pipeline.flush();
-  ASSERT_EQ(sink.levels.size(), 2u);
-  EXPECT_EQ(sink.levels[0], 0);
-  EXPECT_EQ(sink.levels[1], static_cast<int>(registry.level_count()) - 1);
+  const int top = static_cast<int>(registry.level_count()) - 1;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    CollectingSink sink;
+    ParallelBlockPipeline pipeline(registry, PipelineConfig{workers, 0},
+                                   sink.fn());
+    const common::Bytes block(1024, 0x5A);
+    pipeline.submit(-3, block);
+    pipeline.submit(99, block);
+    pipeline.flush();
+    ASSERT_EQ(sink.levels.size(), 2u) << "workers=" << workers;
+    EXPECT_EQ(sink.levels[0], 0);
+    EXPECT_EQ(sink.levels[1], top);
+  }
 }
 
 TEST(ParallelBlockPipeline, FlushIsIdempotentAndSafeWhenEmpty) {
@@ -306,20 +315,28 @@ TEST(ParallelBlockPipeline, WorkerExceptionPropagatesToSubmitter) {
   CodecRegistry registry;
   registry.add_level("NO", std::make_unique<NullCodec>());
   registry.add_level("THROW", std::make_unique<ThrowCodec>());
-  CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 2}, sink.fn());
   const common::Bytes block(256, 0x22);
-  EXPECT_THROW(
-      {
-        pipeline.submit(1, block);
-        pipeline.flush();
-      },
-      CodecError);
-  // The pipeline stays usable for good blocks afterwards.
-  pipeline.submit(0, block);
-  pipeline.flush();
-  ASSERT_EQ(sink.frames.size(), 1u);
-  EXPECT_EQ(decode_block(sink.frames[0], registry), block);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    CollectingSink sink;
+    ParallelBlockPipeline pipeline(registry, PipelineConfig{workers, 2},
+                                   sink.fn());
+    if (workers == 1) {
+      // Inline, the encode error comes out of submit() itself.
+      EXPECT_THROW(pipeline.submit(1, block), CodecError);
+    } else {
+      EXPECT_THROW(
+          {
+            pipeline.submit(1, block);
+            pipeline.flush();
+          },
+          CodecError);
+    }
+    // The pipeline stays usable for good blocks afterwards.
+    pipeline.submit(0, block);
+    pipeline.flush();
+    ASSERT_EQ(sink.frames.size(), 1u) << "workers=" << workers;
+    EXPECT_EQ(decode_block(sink.frames[0], registry), block);
+  }
 }
 
 TEST(ParallelBlockPipeline, RecyclesBuffersAcrossBlocks) {

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -393,12 +392,13 @@ TEST(AsyncTransport, ChaosWalkMatchesThrottledPipe) {
   // Both byte-stream consumers of a ChaosSchedule must apply it to the
   // same bytes: one seeded schedule of stalls, drops and corruptions,
   // once through a ThrottledPipe and once through an AsyncSender, must
-  // leave identical post-chaos streams. The socket side is read raw to
-  // EOF: the damaged stream fails decoding, after which AsyncReceiver's
-  // wire_tap sees nothing, so it would capture only a timing-dependent
-  // prefix.
+  // leave identical post-chaos streams. The socket side is captured by
+  // the receiver's wire_tap, which must keep seeing the wire after the
+  // damaged stream fails decoding. Every fault lands in the first half of
+  // a wire several receive chunks long, so chunks keep arriving after the
+  // failure.
   const auto& registry = compress::CodecRegistry::standard();
-  const auto payloads = make_payloads(10, 16000, 707);
+  const auto payloads = make_payloads(40, 64000, 707);
   std::vector<int> levels;
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     levels.push_back(static_cast<int>(i % registry.level_count()));
@@ -407,7 +407,7 @@ TEST(AsyncTransport, ChaosWalkMatchesThrottledPipe) {
   const common::Bytes reference = oracle.serial_wire(payloads, levels);
 
   common::ChaosSchedule::RandomSpec spec;
-  spec.range = reference.size();
+  spec.range = reference.size() / 2;
   spec.stalls = 3;
   spec.drops = 4;
   spec.corruptions = 6;
@@ -424,28 +424,26 @@ TEST(AsyncTransport, ChaosWalkMatchesThrottledPipe) {
     piped.insert(piped.end(), chunk.begin(), chunk.end());
   }
 
+  AsyncTransport transport(registry);
   LoopbackPair pair;
   common::Bytes wire;
-  std::thread reader([&wire, server = std::move(pair.server)]() mutable {
-    for (common::Bytes chunk = server.read(1 << 16); !chunk.empty();
-         chunk = server.read(1 << 16)) {
-      wire.insert(wire.end(), chunk.begin(), chunk.end());
-    }
-  });
-  {
-    EpollLoop loop;
-    AsyncSender::Config tx_cfg;
-    tx_cfg.chaos = schedule;
-    AsyncSender tx(loop, std::move(pair.client), registry, tx_cfg);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      tx.send(levels[i], payloads[i]);
-    }
-    tx.finish();
-    EXPECT_EQ(tx.stalls(), 3u);
+  AsyncReceiver::Config rx_cfg;
+  rx_cfg.wire_tap = [&wire](common::ByteSpan chunk) {
+    wire.insert(wire.end(), chunk.begin(), chunk.end());
+  };
+  transport.add_receiver(std::move(pair.server), rx_cfg, {});
+  AsyncSender::Config tx_cfg;
+  tx_cfg.chaos = schedule;
+  AsyncSender& tx = transport.add_sender(std::move(pair.client), tx_cfg);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    tx.send(levels[i], payloads[i]);
   }
-  reader.join();
+  tx.finish();
+  EXPECT_EQ(tx.stalls(), 3u);
+  transport.run_receivers();
 
   EXPECT_NE(piped, reference);  // the schedule did damage the stream
+  EXPECT_NE(transport.receiver(0).error(), nullptr);  // and decoding failed
   EXPECT_EQ(wire, piped);
 }
 
