@@ -20,7 +20,10 @@
 //     per-tenant flow counts are deterministic and must reproduce
 //     exactly between runs; `wall_s` / `kflows_per_s` carry the usual
 //     tolerance band plus an upward floor (BENCH_MIN_GAIN), gated on
-//     hardware_concurrency.
+//     hardware_concurrency;
+//   * `flow_rows` (the engine's peak flow-table row count) is
+//     deterministic too and must match exactly: it stays near the summed
+//     in-flight caps, so a return to one row per spawned flow is loud.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -84,7 +87,6 @@ FleetConfig fleet_compat_100k() {
   cfg.topology = Topology::rack_spine_wan(Topology::FleetShape{});
   cfg.seed = 424242;
   cfg.horizon = SimTime::seconds(600);
-  cfg.expected_flows = 100'000;
 
   cfg.tenants.push_back(transfer_tenant("analytics", 2.0,
                                         TenantPolicy::dynamic(),
@@ -121,7 +123,6 @@ FleetConfig fleet_large(std::uint64_t transfer_flows) {
   cfg.seed = 424242;
   cfg.horizon = SimTime::seconds(600);
   cfg.drain_factor = 20.0;  // capacity-bound drain runs long past arrivals
-  cfg.expected_flows = transfer_flows + transfer_flows / 16 + 1024;
 
   const std::uint64_t per_tenant = transfer_flows / 4;
   // Arrivals complete within the horizon (~566 s at the 1M default);
@@ -188,6 +189,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(m.flows_total));
   appendf(json, "  \"flows_completed\": %llu,\n",
           static_cast<unsigned long long>(m.flows_completed));
+  appendf(json, "  \"flow_rows\": %zu,\n", engine.flow_rows());
   appendf(json, "  \"epochs\": %llu,\n",
           static_cast<unsigned long long>(m.epochs));
   appendf(json, "  \"sim_completed_s\": %.3f,\n", m.sim_completed_s);

@@ -114,7 +114,7 @@ SCHEMAS = {
     },
     "fleet_scale": {
         "top": ["bench", "seed", "epoch_ms", "flows_target",
-                "flows_total", "flows_completed", "epochs",
+                "flows_total", "flows_completed", "flow_rows", "epochs",
                 "sim_completed_s", "p50_s", "p99_s", "p999_s",
                 "metrics_digest"],
         "key": ["name"],

@@ -58,7 +58,6 @@ FleetEngine::FleetEngine(FleetConfig config)
       io_cpu_s_per_byte_(profile(cfg_.tech).net_cpu_s_per_byte),
       hard_stop_(SimTime::seconds(cfg_.horizon.to_seconds() *
                                   std::max(1.0, cfg_.drain_factor))) {
-  if (cfg_.expected_flows > 0) flows_.reserve(cfg_.expected_flows);
   runs_.resize(cfg_.tenants.size());
   metrics_.tenants.resize(cfg_.tenants.size());
   metrics_.goodput_all_mbit_s = common::Histogram(
@@ -142,38 +141,32 @@ void FleetEngine::spawn_flow(std::uint16_t t, SimTime at) {
     }
   }
 
-  FlowTable::Id id;
+  PendingFlow p;
+  p.arrival = at;
+  p.path = path;
   if (spec.kind == FlowKind::kDwell) {
-    const SimTime dwell = SimTime::seconds(
+    p.dwell = SimTime::seconds(
         exponential_interval_s(run.rng, spec.mean_dwell_s));
-    id = flows_.add_dwell(t, path, spec.weight, at, dwell);
   } else {
     // Corpus class from the tenant's mix (cumulative draw, normalized).
     const double msum = std::max(
         1e-12, spec.class_mix[0] + spec.class_mix[1] + spec.class_mix[2]);
     const double u = run.rng.uniform() * msum;
-    corpus::Compressibility cls = corpus::Compressibility::kLow;
     if (u < spec.class_mix[0]) {
-      cls = corpus::Compressibility::kHigh;
+      p.cls = corpus::Compressibility::kHigh;
     } else if (u < spec.class_mix[0] + spec.class_mix[1]) {
-      cls = corpus::Compressibility::kModerate;
+      p.cls = corpus::Compressibility::kModerate;
     }
     const double drawn = exponential_interval_s(
         run.rng, static_cast<double>(spec.mean_flow_bytes));
-    const std::uint64_t raw = std::max(
-        spec.min_flow_bytes, static_cast<std::uint64_t>(drawn));
-    const double jr =
+    p.raw_bytes = std::max(spec.min_flow_bytes,
+                           static_cast<std::uint64_t>(drawn));
+    p.ratio_jitter =
         std::clamp(run.rng.gaussian(1.0, cfg_.ratio_jitter), 0.8, 1.2);
-    const double js =
+    p.speed_jitter =
         std::clamp(run.rng.gaussian(1.0, cfg_.speed_jitter), 0.7, 1.3);
-    id = flows_.add_transfer(t, path, cls, raw, spec.weight, at, jr, js);
-    if (spec.policy.kind == TenantPolicy::Kind::kStatic) {
-      flows_.level[id] = static_cast<std::int8_t>(std::clamp(
-          spec.policy.static_level, 0, CodecModel::kNumLevels - 1));
-    }
-    refresh_flow_kernel(id);
   }
-  run.pending.push_back(id);
+  run.pending.push_back(p);
 }
 
 void FleetEngine::generate_arrivals(SimTime now) {
@@ -203,12 +196,18 @@ void FleetEngine::admit(SimTime now) {
     TenantMetrics& tm = metrics_.tenants[t];
     while (!run.pending.empty() &&
            (spec.max_in_flight <= 0 || run.in_flight < spec.max_in_flight)) {
-      const FlowTable::Id id = run.pending.front();
+      const PendingFlow& p = run.pending.front();
+      const FlowTable::Id id = flows_.add(static_cast<std::uint16_t>(t),
+                                          spec.kind, p, spec.weight, now);
+      tm.queue_wait_s_total += (now - p.arrival).to_seconds();
       run.pending.pop_front();
-      flows_.phase[id] = FlowPhase::kActive;
-      flows_.admitted[id] = now;
-      flows_.meter[id] = FlowMeter{now, 0.0, true};
-      tm.queue_wait_s_total += (now - flows_.arrival[id]).to_seconds();
+      if (spec.kind == FlowKind::kTransfer) {
+        if (spec.policy.kind == TenantPolicy::Kind::kStatic) {
+          flows_.level[id] = static_cast<std::int8_t>(std::clamp(
+              spec.policy.static_level, 0, CodecModel::kNumLevels - 1));
+        }
+        refresh_flow_kernel(id);
+      }
       ++tm.admitted;
       ++run.in_flight;
       ++tenant_active_[t];
@@ -217,7 +216,7 @@ void FleetEngine::admit(SimTime now) {
       // pass overwrites this when the count did change).
       if (tenant_per_tenant_[t]) flows_.weight[id] = tenant_flow_w_[t];
       alloc_.add_flow(id, flows_.path[id]);
-      if (flows_.kind[id] == FlowKind::kTransfer) {
+      if (spec.kind == FlowKind::kTransfer) {
         active_transfer_.push_back(id);
       } else {
         active_dwell_.push_back(id);
@@ -272,6 +271,9 @@ void FleetEngine::recompute_rates(SimTime now) {
 
   alloc_.allocate_incremental(link_cap_, caps_changed, flows_.path,
                               flows_.weight, flows_.alloc_rate);
+  // The pass compacted every flow finished last epoch out of the
+  // allocator's member lists; only now may their rows take new flows.
+  flows_.recycle();
 
   // Sender-CPU bound: a flow cannot push wire bytes faster than its one
   // vCPU can compress them — wire rate <= comp_speed * wire_factor (the
@@ -307,8 +309,6 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
                        wire_moved * io_cpu_s_per_byte_;
 
     flows_.raw_remaining[id] -= raw_moved;
-    flows_.wire_bytes[id] += wire_moved;
-    flows_.cpu_s[id] += cpu;
     flows_.meter[id].bytes += raw_moved;
     tm.raw_bytes += raw_moved;
     tm.wire_bytes += wire_moved;
@@ -352,13 +352,10 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
 }
 
 void FleetEngine::finish_flow(FlowTable::Id f, SimTime at) {
-  flows_.phase[f] = FlowPhase::kDone;
-  flows_.finished[f] = at;
-  flows_.rate[f] = 0.0;
-  flows_.alloc_rate[f] = 0.0;
   const std::uint16_t t = flows_.tenant[f];
   --tenant_active_[t];
   alloc_.remove_flow(f, flows_.path[f]);
+  flows_.retire(f);
   TenantMetrics& tm = metrics_.tenants[t];
   ++tm.completed;
   --runs_[t].in_flight;
@@ -422,8 +419,8 @@ FleetMetrics FleetEngine::run() {
     const bool ok = metrics_.goodput_all_mbit_s.merge(tm.goodput_mbit_s);
     (void)ok;  // layouts all come from FleetConfig; cannot mismatch
     metrics_.flows_completed += tm.completed;
+    metrics_.flows_total += tm.spawned - tm.rejected;
   }
-  metrics_.flows_total = flows_.size();
   return metrics_;
 }
 

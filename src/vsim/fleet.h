@@ -12,13 +12,15 @@
 // step, the engine schedules one epoch event (default 50 ms of virtual
 // time). Each epoch it
 //
-//   1. materializes newly arrived flows (per-tenant Poisson processes,
-//      drawn lazily — no per-arrival events),
-//   2. admits pending flows FIFO up to each tenant's in-flight cap
-//      (rejecting beyond the queue bound),
+//   1. materializes newly arrived flows as compact PendingFlow records
+//      (per-tenant Poisson processes, drawn lazily — no per-arrival
+//      events; beyond the queue bound a flow is rejected),
+//   2. admits pending flows FIFO up to each tenant's in-flight cap, each
+//      into a FlowTable row,
 //   3. recomputes every link's fluctuating capacity and all flow rates in
 //      one weighted max-min pass (MaxMinAllocator), clamps each flow by
-//      its sender-CPU compression-throughput bound,
+//      its sender-CPU compression-throughput bound, then frees the rows
+//      the pass has just compacted out of the allocator,
 //   4. drains bytes, charges CPU, closes controller decision windows
 //      (application-data-rate only, exactly the paper's signal), and
 //   5. retires finished flows into FleetMetrics.
@@ -137,7 +139,9 @@ struct FleetConfig {
   /// Goodput histogram layout, shared by all tenants (mergeable).
   double goodput_hist_max_mbit_s = 1000.0;
   std::size_t goodput_hist_buckets = 50;
-  std::size_t expected_flows = 0;  ///< FlowTable reserve hint
+  /// Ignored: the flow table grows with the live flow count and needs
+  /// no reserve hint. Kept only for source compatibility.
+  std::size_t expected_flows = 0;
 };
 
 /// Aggregates for one tenant.
@@ -191,6 +195,10 @@ class FleetEngine {
 
   [[nodiscard]] const FleetConfig& config() const { return cfg_; }
 
+  /// Flow-table rows allocated so far: the high-water mark of admitted
+  /// flows plus those retired within one epoch. Waiting flows hold none.
+  [[nodiscard]] std::size_t flow_rows() const { return flows_.size(); }
+
  private:
   /// Per-tenant mutable run state (RNG, arrival clock, admission queue).
   struct TenantRun {
@@ -198,7 +206,7 @@ class FleetEngine {
     common::SimTime next_arrival = common::SimTime::max();
     std::uint64_t spawned = 0;
     int in_flight = 0;
-    std::deque<std::uint32_t> pending;
+    std::deque<PendingFlow> pending;
     bool exhausted = false;  ///< flow_limit reached or horizon passed
   };
 
@@ -208,7 +216,7 @@ class FleetEngine {
   void recompute_rates(common::SimTime now);
   void drain(common::SimTime from, common::SimTime dt);
   /// Re-derive the cached (wf, comp_speed, cpu_bound) triple for one
-  /// flow from its current level — at spawn and on level switches only.
+  /// flow from its current level — at admission and on level switches.
   void refresh_flow_kernel(std::uint32_t f);
   void finish_flow(std::uint32_t f, common::SimTime at);
   [[nodiscard]] bool work_remains() const;

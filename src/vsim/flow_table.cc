@@ -2,77 +2,70 @@
 
 namespace strato::vsim {
 
-void FlowTable::reserve(std::size_t n) {
-  phase.reserve(n);
-  kind.reserve(n);
-  tenant.reserve(n);
-  cls.reserve(n);
-  level.reserve(n);
-  path.reserve(n);
-  weight.reserve(n);
-  raw_total.reserve(n);
-  raw_remaining.reserve(n);
-  dwell_remaining.reserve(n);
-  arrival.reserve(n);
-  admitted.reserve(n);
-  finished.reserve(n);
-  rate.reserve(n);
-  alloc_rate.reserve(n);
-  wire_bytes.reserve(n);
-  cpu_s.reserve(n);
-  ratio_jitter.reserve(n);
-  speed_jitter.reserve(n);
-  ctrl.reserve(n);
-  meter.reserve(n);
-  wf.reserve(n);
-  comp_speed.reserve(n);
-  cpu_bound.reserve(n);
-}
-
-FlowTable::Id FlowTable::add_transfer(std::uint16_t tenant_id,
-                                      std::uint32_t path_id,
-                                      corpus::Compressibility c,
-                                      std::uint64_t raw_bytes, double w,
-                                      common::SimTime at, double ratio_jit,
-                                      double speed_jit) {
-  const Id id = static_cast<Id>(phase.size());
-  phase.push_back(FlowPhase::kPending);
-  kind.push_back(FlowKind::kTransfer);
-  tenant.push_back(tenant_id);
-  cls.push_back(c);
-  level.push_back(0);
-  path.push_back(path_id);
-  weight.push_back(w);
-  raw_total.push_back(static_cast<double>(raw_bytes));
-  raw_remaining.push_back(static_cast<double>(raw_bytes));
-  dwell_remaining.push_back(common::SimTime());
-  arrival.push_back(at);
-  admitted.push_back(common::SimTime());
-  finished.push_back(common::SimTime());
-  rate.push_back(0.0);
-  alloc_rate.push_back(0.0);
-  wire_bytes.push_back(0.0);
-  cpu_s.push_back(0.0);
-  ratio_jitter.push_back(ratio_jit);
-  speed_jitter.push_back(speed_jit);
-  ctrl.push_back(core::ControllerState{});
-  meter.push_back(FlowMeter{});
-  wf.push_back(1.0);
-  comp_speed.push_back(0.0);
-  cpu_bound.push_back(0.0);
+FlowTable::Id FlowTable::add(std::uint16_t tenant_id, FlowKind k,
+                             const PendingFlow& p, double w,
+                             common::SimTime now) {
+  Id id;
+  if (!free_.empty()) {
+    id = free_.back();
+    free_.pop_back();
+  } else {
+    id = static_cast<Id>(phase.size());
+    const std::size_t n = phase.size() + 1;
+    phase.resize(n);
+    kind.resize(n);
+    tenant.resize(n);
+    cls.resize(n);
+    level.resize(n);
+    path.resize(n);
+    weight.resize(n);
+    raw_total.resize(n);
+    raw_remaining.resize(n);
+    dwell_remaining.resize(n);
+    arrival.resize(n);
+    admitted.resize(n);
+    rate.resize(n);
+    alloc_rate.resize(n);
+    ratio_jitter.resize(n);
+    speed_jitter.resize(n);
+    ctrl.resize(n);
+    meter.resize(n);
+    wf.resize(n);
+    comp_speed.resize(n);
+    cpu_bound.resize(n);
+  }
+  phase[id] = FlowPhase::kActive;
+  kind[id] = k;
+  tenant[id] = tenant_id;
+  cls[id] = p.cls;
+  level[id] = 0;
+  path[id] = p.path;
+  weight[id] = w;
+  raw_total[id] = static_cast<double>(p.raw_bytes);
+  raw_remaining[id] = static_cast<double>(p.raw_bytes);
+  dwell_remaining[id] = p.dwell;
+  arrival[id] = p.arrival;
+  admitted[id] = now;
+  rate[id] = 0.0;
+  alloc_rate[id] = 0.0;
+  ratio_jitter[id] = p.ratio_jitter;
+  speed_jitter[id] = p.speed_jitter;
+  ctrl[id] = core::ControllerState{};
+  meter[id] = FlowMeter{now, 0.0, true};
+  wf[id] = 1.0;
+  comp_speed[id] = 0.0;
+  cpu_bound[id] = 0.0;
   return id;
 }
 
-FlowTable::Id FlowTable::add_dwell(std::uint16_t tenant_id,
-                                   std::uint32_t path_id, double w,
-                                   common::SimTime at,
-                                   common::SimTime dwell) {
-  const Id id = add_transfer(tenant_id, path_id,
-                             corpus::Compressibility::kLow, 0, w, at, 1.0,
-                             1.0);
-  kind[id] = FlowKind::kDwell;
-  dwell_remaining[id] = dwell;
-  return id;
+void FlowTable::retire(Id f) {
+  phase[f] = FlowPhase::kDone;
+  retired_.push_back(f);
+}
+
+void FlowTable::recycle() {
+  free_.insert(free_.end(), retired_.begin(), retired_.end());
+  retired_.clear();
 }
 
 }  // namespace strato::vsim

@@ -11,6 +11,11 @@
 // one million DYNAMIC flows are two flat arrays rather than two million
 // heap objects.
 //
+// Only admitted flows hold a row. A flow waiting in its tenant's queue
+// is a compact PendingFlow, and a finished flow's row is reused once the
+// allocator has compacted it (retire() / recycle()), so the table's size
+// follows the live flow count, not the number of flows ever spawned.
+//
 // The fleet-alloc lint rule bans `new` / make_unique / make_shared in
 // this layer; growth happens only through the column vectors.
 #pragma once
@@ -24,11 +29,11 @@
 
 namespace strato::vsim {
 
-/// Flow lifecycle.
+/// Lifecycle of a table row. Flows waiting for admission have no row
+/// (they are PendingFlow records in their tenant's queue).
 enum class FlowPhase : std::uint8_t {
-  kPending = 0,  ///< spawned, waiting for admission
-  kActive,       ///< admitted, competing for link shares
-  kDone,         ///< finished (or rejected before admission)
+  kActive,  ///< admitted, competing for link shares
+  kDone,    ///< finished; the row is retired until FlowTable::recycle()
 };
 
 /// What the flow transports.
@@ -46,25 +51,45 @@ struct FlowMeter {
   bool started = false;
 };
 
-/// Structs-of-arrays store. All columns are index-parallel; FlowTable
-/// only guards the invariant that they grow together.
+/// A spawned flow waiting for admission: everything its RNG draws
+/// produced, and nothing else. The tenant's queue holds these, so a
+/// queued flow costs 48 bytes instead of a full table row.
+struct PendingFlow {
+  common::SimTime arrival;
+  common::SimTime dwell;            ///< kDwell holding time
+  std::uint64_t raw_bytes = 0;      ///< kTransfer size
+  double ratio_jitter = 1.0;        ///< per-flow multiplicative jitter
+  double speed_jitter = 1.0;
+  std::uint32_t path = 0;           ///< Topology path id
+  corpus::Compressibility cls = corpus::Compressibility::kLow;
+};
+static_assert(sizeof(PendingFlow) <= 48, "queued flows must stay compact");
+
+/// Structs-of-arrays store of admitted flows. All columns are
+/// index-parallel; FlowTable guards the invariant that they grow together
+/// and recycles rows, so the table holds as many rows as flows are live
+/// at once (plus one epoch of retired ones), not as many as ever spawned.
 class FlowTable {
  public:
   using Id = std::uint32_t;
 
-  /// Pre-size every column (fleet configs know their flow budget).
-  void reserve(std::size_t n);
+  /// Admit `p` into a free row (or a new one) in kActive phase at `now`,
+  /// with level 0, a zeroed controller and an open decision window;
+  /// returns its id.
+  Id add(std::uint16_t tenant, FlowKind kind, const PendingFlow& p,
+         double weight, common::SimTime now);
 
-  /// Append a transfer flow in kPending phase; returns its id.
-  Id add_transfer(std::uint16_t tenant, std::uint32_t path,
-                  corpus::Compressibility cls, std::uint64_t raw_bytes,
-                  double weight, common::SimTime arrival, double ratio_jit,
-                  double speed_jit);
+  /// Mark a finished row kDone and hold it back from reuse until
+  /// recycle(): the allocator still lists the id as a tombstone.
+  void retire(Id f);
 
-  /// Append a dwell (background) flow in kPending phase; returns its id.
-  Id add_dwell(std::uint16_t tenant, std::uint32_t path, double weight,
-               common::SimTime arrival, common::SimTime dwell);
+  /// Make every retired row reusable. Call only after
+  /// MaxMinAllocator::allocate_incremental() has compacted the retired
+  /// ids out of its member lists (see MaxMinAllocator::add_flow).
+  void recycle();
 
+  /// Rows ever allocated — the table's high-water mark of live plus
+  /// retired flows.
   [[nodiscard]] std::size_t size() const { return phase.size(); }
 
   // --- columns (index-parallel; the engine iterates these directly) ----
@@ -80,22 +105,23 @@ class FlowTable {
   std::vector<common::SimTime> dwell_remaining;  ///< kDwell only
   std::vector<common::SimTime> arrival;
   std::vector<common::SimTime> admitted;
-  std::vector<common::SimTime> finished;
   std::vector<double> rate;               ///< allocated wire bytes/s
   std::vector<double> alloc_rate;         ///< max-min share before CPU clamp
-  std::vector<double> wire_bytes;         ///< framed bytes moved so far
-  std::vector<double> cpu_s;              ///< compress + I/O CPU charged
   std::vector<double> ratio_jitter;       ///< per-flow multiplicative jitter
   std::vector<double> speed_jitter;
   std::vector<core::ControllerState> ctrl;  ///< Algorithm 1 state (POD)
   std::vector<FlowMeter> meter;             ///< decision-window meter
 
   // Cached epoch kernel (transfers): derived from (level, cls) + jitters,
-  // refreshed only at spawn and on a controller level switch so the hot
-  // epoch loop reads three doubles instead of re-deriving the model.
+  // refreshed only at admission and on a controller level switch so the
+  // hot epoch loop reads three doubles instead of re-deriving the model.
   std::vector<double> wf;          ///< wire factor incl. frame overhead
   std::vector<double> comp_speed;  ///< effective compress bytes/s
   std::vector<double> cpu_bound;   ///< comp_speed * wf (wire-rate ceiling)
+
+ private:
+  std::vector<Id> free_;     ///< reusable rows (LIFO)
+  std::vector<Id> retired_;  ///< finished rows awaiting recycle()
 };
 
 }  // namespace strato::vsim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 namespace strato::vsim {
 
@@ -178,13 +179,21 @@ void MaxMinAllocator::allocate(const std::vector<double>& link_capacity,
 }
 
 void MaxMinAllocator::add_flow(std::uint32_t f, Topology::PathId path) {
-  if (alive_.size() <= f) {
+  if (slot_.size() <= f) {
     // Amortized growth; steady state performs no allocation.
-    const std::size_t n = std::max<std::size_t>(f + 1, alive_.size() * 2);
-    alive_.resize(n, 0);
+    const std::size_t n = std::max<std::size_t>(f + 1, slot_.size() * 2);
+    slot_.resize(n, Slot::kFree);
     frozen_epoch_.resize(n, 0);
   }
-  alive_[f] = 1;
+  if (slot_[f] != Slot::kFree) {
+    // A removed id still sits as a tombstone in its links' member lists;
+    // re-adding it before the refold compacts them would count the new
+    // flow on the old flow's links too.
+    throw std::logic_error(
+        "MaxMinAllocator::add_flow: id is live, or removed but not yet "
+        "compacted");
+  }
+  slot_[f] = Slot::kAlive;
   ++live_;
   for (std::uint32_t pi = path_off_[path]; pi < path_off_[path + 1]; ++pi) {
     member_[path_flat_[pi]].push_back(f);
@@ -193,8 +202,8 @@ void MaxMinAllocator::add_flow(std::uint32_t f, Topology::PathId path) {
 }
 
 void MaxMinAllocator::remove_flow(std::uint32_t f, Topology::PathId path) {
-  if (f >= alive_.size() || !alive_[f]) return;
-  alive_[f] = 0;
+  if (f >= slot_.size() || slot_[f] != Slot::kAlive) return;
+  slot_[f] = Slot::kRemoved;
   --live_;
   for (std::uint32_t pi = path_off_[path]; pi < path_off_[path + 1]; ++pi) {
     ++dead_[path_flat_[pi]];
@@ -208,7 +217,9 @@ void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
                                    bool fold_all) {
   // Recompute cached per-link weight sums as a left fold over live
   // members in admission order — the exact association the full rebuild
-  // uses — compacting tombstones in place as we go.
+  // uses — compacting tombstones in place as we go. Every link of a
+  // removed flow is dirty, so one refold compacts all of its tombstones
+  // and the id can be freed at the first one.
   const std::size_t links = topo_->link_count();
   for (std::size_t l = 0; l < links; ++l) {
     if (!fold_all && !dirty_[l]) continue;
@@ -217,7 +228,10 @@ void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
     if (dead_[l] > 0) {
       std::size_t out = 0;
       for (const std::uint32_t f : mem) {
-        if (!alive_[f]) continue;
+        if (slot_[f] != Slot::kAlive) {
+          slot_[f] = Slot::kFree;
+          continue;
+        }
         mem[out++] = f;
         sum += flow_weight[f];
       }

@@ -145,7 +145,7 @@ class LinkBank {
 /// Bit-exactness invariants (DESIGN.md §15): per-link weight sums are
 /// always produced by a left fold over members in admission order —
 /// never by adding/subtracting deltas, since IEEE addition is neither
-/// associative nor invertible. Removal tombstones members (alive_ flag)
+/// associative nor invertible. Removal tombstones members (slot_ state)
 /// and compacts on the next refold, preserving relative order, so the
 /// fold after a removal equals the fold the full rebuild would compute.
 class MaxMinAllocator {
@@ -170,9 +170,17 @@ class MaxMinAllocator {
   /// Register flow `f` on every link of `path`. Call once at admission;
   /// the flow competes in every subsequent allocate_incremental() until
   /// remove_flow().
+  ///
+  /// Precondition: `f` is free — never added, or removed and then
+  /// compacted by a later allocate_incremental(). An id reused between
+  /// remove_flow() and that call would still be a tombstone in its old
+  /// links' member lists, and the refold would count the new flow there
+  /// too. @throws std::logic_error if `f` is live or removed but not yet
+  /// compacted.
   void add_flow(std::uint32_t f, Topology::PathId path);
 
-  /// Unregister flow `f` (tombstoned; compacted on the next refold).
+  /// Unregister flow `f` (tombstoned; compacted, and `f` freed for
+  /// add_flow(), by the next allocate_incremental()).
   void remove_flow(std::uint32_t f, Topology::PathId path);
 
   /// Mark all cached weight sums stale. Call whenever any registered
@@ -181,7 +189,8 @@ class MaxMinAllocator {
 
   [[nodiscard]] std::size_t live_flows() const { return live_; }
 
-  /// Incremental epoch allocation over the registered flows.
+  /// Incremental epoch allocation over the registered flows. On return
+  /// every removed flow is compacted and its id free for add_flow().
   ///
   /// @param capacity_changed  false asserts `link_capacity` is unchanged
   ///                          since the previous call — combined with no
@@ -220,7 +229,10 @@ class MaxMinAllocator {
   std::vector<double> wsum_base_;     ///< cached fold per link
   std::vector<std::uint8_t> dirty_;   ///< membership changed since refold
   std::vector<std::uint32_t> dead_;   ///< tombstones per link
-  std::vector<std::uint8_t> alive_;   ///< by flow id
+  /// Per flow id: kRemoved holds from remove_flow() until the refold
+  /// compacts the id's tombstones; only kFree ids may be (re)added.
+  enum class Slot : std::uint8_t { kFree, kAlive, kRemoved };
+  std::vector<Slot> slot_;  ///< by flow id
   std::vector<std::uint64_t> frozen_epoch_;  ///< by flow id; == epoch_ when frozen
   std::vector<std::uint32_t> path_flat_;  ///< all paths' link ids, packed
   std::vector<std::uint32_t> path_off_;   ///< path p = [off[p], off[p+1])

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,6 +40,14 @@ struct Churn {
     active.push_back(f);
     inc.add_flow(f, path_id);
     return f;
+  }
+
+  // Re-admit a finished flow's id with a new path and weight.
+  void reuse(std::uint32_t f, std::uint32_t path_id, double w) {
+    inc.add_flow(f, path_id);
+    path[f] = path_id;
+    weight[f] = w;
+    active.push_back(f);
   }
 
   void finish(std::size_t active_idx) {
@@ -189,6 +198,33 @@ TEST(MaxMinIncremental, ReweightTakesEffect) {
   c.reweight(a, 2.0);
   c.epoch(caps, false);
   EXPECT_DOUBLE_EQ(c.rate_inc[a], 2.0 * c.rate_inc[b]);
+}
+
+// A removed id stays a tombstone in its links' member lists until the
+// next allocate_incremental() compacts it. Re-adding it earlier must
+// fail loudly: the refold would count the new flow on the old flow's
+// links too. Re-added after that call, the id carries only the new flow
+// and every rate stays bit-equal to the full rebuild.
+TEST(MaxMinIncremental, IdReuseWaitsForRefold) {
+  Churn c;
+  std::vector<double> caps(c.topo.link_count(), 100e6);
+  const auto a = c.admit(c.topo.wan_path(0), 1.0);
+  const auto b = c.admit(c.topo.wan_path(1), 2.0);
+  c.admit(c.topo.intra_path(2), 1.0);
+  c.epoch(caps, true);
+
+  c.finish(0);  // flow a: removed, not yet compacted
+  // intra_path(3) avoids a's old NIC and WAN links, where a tombstone
+  // read as live would show up as a share the full rebuild never gives.
+  EXPECT_THROW(c.reuse(a, c.topo.intra_path(3), 3.0), std::logic_error);
+  EXPECT_THROW(c.reuse(b, c.topo.intra_path(3), 3.0), std::logic_error);
+  EXPECT_EQ(c.active.size(), c.inc.live_flows());
+
+  c.epoch(caps, false);  // compacts a's tombstones and frees its id
+  c.reuse(a, c.topo.intra_path(3), 3.0);
+  c.epoch(caps, false);
+  EXPECT_EQ(c.inc.live_flows(), 3u);
+  EXPECT_GT(c.rate_inc[a], 0.0);
 }
 
 }  // namespace

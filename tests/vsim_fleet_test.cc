@@ -330,6 +330,51 @@ FleetConfig medium_fleet(std::uint64_t seed) {
   return cfg;
 }
 
+// High-churn config: short flows behind small admission caps and a
+// bounded queue, so flows finish, free their slot and are replaced by a
+// queued flow nearly every epoch. A long-flow adaptive tenant keeps
+// controller level switches running alongside the churn, and a dwell
+// tenant with sub-second holds churns the per-flow-weight path.
+FleetConfig churn_fleet(std::uint64_t seed) {
+  Topology::FleetShape shape;
+  shape.racks = 2;
+  shape.hosts_per_rack = 2;
+  FleetConfig cfg;
+  cfg.topology = Topology::rack_spine_wan(shape);
+  cfg.seed = seed;
+  cfg.horizon = SimTime::seconds(40);
+  for (int i = 0; i < 3; ++i) {
+    TenantSpec t;
+    t.name = "short" + std::to_string(i);
+    t.weight = 1.0 + i;
+    t.share = i == 2 ? ShareMode::kPerFlow : ShareMode::kPerTenant;
+    t.policy = i == 0 ? TenantPolicy::dynamic() : TenantPolicy::fixed(i);
+    t.arrival_per_s = 60.0;
+    t.max_in_flight = 2;
+    t.max_queue = 8;
+    t.mean_flow_bytes = 1ull << 20;
+    t.min_flow_bytes = 64ull << 10;
+    t.class_mix = {0.3, 0.4, 0.3};
+    cfg.tenants.push_back(t);
+  }
+  TenantSpec bulk;
+  bulk.name = "bulk";
+  bulk.policy = TenantPolicy::dynamic();
+  bulk.arrival_per_s = 1.0;
+  bulk.max_in_flight = 2;
+  bulk.max_queue = 4;
+  bulk.mean_flow_bytes = 64ull << 20;
+  bulk.class_mix = {1.0, 0.0, 0.0};
+  cfg.tenants.push_back(bulk);
+  BgTrafficConfig bg;
+  bg.arrival_per_s = 10.0;
+  bg.mean_holding_s = 0.2;
+  bg.initial_flows = 4;
+  bg.max_flows = 4;
+  cfg.tenants.push_back(background_tenant(bg));
+  return cfg;
+}
+
 TEST(FleetGolden, PreOptimizationDigestsReproduce) {
   EXPECT_EQ(fnv1a(FleetEngine(small_fleet(7)).run().to_json()),
             0x8e9e071c25cd0493ULL);
@@ -337,6 +382,34 @@ TEST(FleetGolden, PreOptimizationDigestsReproduce) {
             0xb88751d8cf3c405cULL);
   EXPECT_EQ(fnv1a(FleetEngine(medium_fleet(5)).run().to_json()),
             0xa641e245520e92fbULL);
+}
+
+// Digests of churn_fleet computed by the engine that kept one table row
+// per spawned flow, before rows were recycled: reusing a row must not
+// change a single simulated value.
+TEST(FleetGolden, HighChurnRowReuseDigestsReproduce) {
+  EXPECT_EQ(fnv1a(FleetEngine(churn_fleet(3)).run().to_json()),
+            0xd74dfb0513f6ec55ULL);
+  EXPECT_EQ(fnv1a(FleetEngine(churn_fleet(11)).run().to_json()),
+            0xb56d532ba79e77b9ULL);
+}
+
+// The flow table holds live flows, not flows ever spawned. A row is
+// reused one epoch after its flow finished, so the table never exceeds
+// the summed in-flight caps plus one epoch of retirements — and an epoch
+// cannot retire more flows than were in flight.
+TEST(Fleet, FlowRowsTrackLiveFlowsNotSpawnedFlows) {
+  const FleetConfig cfg = churn_fleet(3);
+  std::size_t in_flight_cap = 0;
+  for (const TenantSpec& t : cfg.tenants) {
+    in_flight_cap += static_cast<std::size_t>(t.max_in_flight);
+  }
+  FleetEngine engine(cfg);
+  EXPECT_EQ(engine.flow_rows(), 0u);
+  const FleetMetrics m = engine.run();
+  EXPECT_GT(engine.flow_rows(), 0u);
+  EXPECT_LE(engine.flow_rows(), 2 * in_flight_cap);
+  EXPECT_GT(m.flows_total, 100 * engine.flow_rows());
 }
 
 }  // namespace
